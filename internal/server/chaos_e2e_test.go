@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,6 +21,8 @@ import (
 	"anyscan/internal/faultinject"
 	"anyscan/internal/gen"
 	"anyscan/internal/graph"
+	"anyscan/internal/index"
+	"anyscan/internal/local"
 	"anyscan/internal/server"
 )
 
@@ -206,11 +210,12 @@ func TestE2EOverloadShedding(t *testing.T) {
 // TestE2EStaleServing drives the degraded-mode path end to end: after a graph
 // is evicted and reloaded with new content, a sustained build outage (the
 // armed "index.build" fault) must yield 200s served from the last good index
-// — marked by both the JSON stale flag and the X-Anyscan-Stale header — and
-// clearing the fault must restore fresh serving.
+// for every read kind — clusterings, local queries and profiles, each marked
+// by the JSON stale flag (and the X-Anyscan-Stale header) — and clearing the
+// fault must restore fresh serving.
 func TestE2EStaleServing(t *testing.T) {
 	defer faultinject.Reset()
-	path1, _ := genGraphFile(t, 2000, 21)
+	path1, g1 := genGraphFile(t, 2000, 21)
 	path2, _ := genGraphFile(t, 2000, 22)
 	_, ts, c := newOverloadServer(t, server.OverloadConfig{})
 
@@ -258,6 +263,44 @@ func TestE2EStaleServing(t *testing.T) {
 		t.Fatalf("degraded response: status=%d stale-header=%q", resp.StatusCode, resp.Header.Get("X-Anyscan-Stale"))
 	}
 
+	// A local query degrades the same way, answering from the first graph's
+	// index: its community must match an in-process local query there.
+	first := index.Build(g1, 1)
+	seed := int32(0)
+	want, err := local.Query(first, seed, 4, 0.4)
+	for err == nil && len(want.Members) == 0 && int(seed) < g1.NumVertices()-1 {
+		seed++
+		want, err = local.Query(first, seed, 4, 0.4)
+	}
+	if err != nil || len(want.Members) == 0 {
+		t.Fatalf("no clustered seed in the first graph (err=%v)", err)
+	}
+	resp, err = raw.Get(fmt.Sprintf("%s/v1/local?graph=s&seed=%d&mu=4&eps=0.4", ts.URL, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lr server.LocalResponse
+	err = json.NewDecoder(resp.Body).Decode(&lr)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Anyscan-Stale") != "1" || !lr.Stale {
+		t.Fatalf("degraded local: status=%d stale-header=%q stale=%v", resp.StatusCode, resp.Header.Get("X-Anyscan-Stale"), lr.Stale)
+	}
+	if !slices.Equal(lr.Members, want.Members) {
+		t.Fatalf("stale local community has %d members; the last good index gives %d", len(lr.Members), len(want.Members))
+	}
+
+	// So does a profile.
+	profile, err := c.QueryProfile(tctx, "s", 4, nil, 8)
+	if err != nil {
+		t.Fatalf("profile during the build outage: %v (want a stale-marked 200)", err)
+	}
+	if !profile.Stale || len(profile.Points) == 0 {
+		t.Fatalf("degraded profile: stale=%v points=%d", profile.Stale, len(profile.Points))
+	}
+
 	text, err := c.MetricsText(tctx)
 	if err != nil {
 		t.Fatal(err)
@@ -274,6 +317,49 @@ func TestE2EStaleServing(t *testing.T) {
 	}
 	if recovered.Stale || recovered.CacheHit {
 		t.Fatalf("post-outage query: stale=%v hit=%v, want a fresh build", recovered.Stale, recovered.CacheHit)
+	}
+}
+
+// TestE2ERateLimitExemptsProbes checks that per-client rate limiting spares
+// the operational probes: once a client's bucket is empty its next query is
+// a 429, while health, readiness and metrics keep answering 200 — throttling
+// them would only hide the overload from the load balancer and the scraper.
+func TestE2ERateLimitExemptsProbes(t *testing.T) {
+	path, _ := genGraphFile(t, 500, 41)
+	srv, ts, _ := newOverloadServer(t, server.OverloadConfig{RatePerSec: 0.01, RateBurst: 1})
+	// Load in-process: a POST /v1/graphs would spend the only token.
+	if _, err := srv.Registry().Load("r", server.GraphSource{Path: path}); err != nil {
+		t.Fatal(err)
+	}
+
+	raw := &http.Client{Timeout: 30 * time.Second}
+	defer raw.CloseIdleConnections()
+	get := func(path string) int {
+		t.Helper()
+		resp, err := raw.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	const query = "/v1/query?graph=r&mu=4&eps=0.4"
+	if code := get(query); code != http.StatusOK {
+		t.Fatalf("first query: status %d, want 200", code)
+	}
+	if code := get(query); code != http.StatusTooManyRequests {
+		t.Fatalf("second query: status %d, want 429", code)
+	}
+	for _, probe := range []string{"/v1/healthz", "/v1/readyz", "/v1/metrics"} {
+		for i := 0; i < 3; i++ {
+			if code := get(probe); code != http.StatusOK {
+				t.Fatalf("%s under an empty bucket: status %d, want 200", probe, code)
+			}
+		}
+	}
+	if v := srv.Metrics().RateLimited.Load(); v != 1 {
+		t.Errorf("rate_limited_total = %d, want 1 (only the second query)", v)
 	}
 }
 

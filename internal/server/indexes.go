@@ -9,6 +9,7 @@ import (
 	"anyscan/internal/faultinject"
 	"anyscan/internal/graph"
 	"anyscan/internal/index"
+	"anyscan/internal/live"
 	"anyscan/internal/sweep"
 )
 
@@ -23,6 +24,8 @@ type idxKey struct {
 
 // indexEntry is one per-(graph, delta) cached query index plus the μ-fixed
 // sweep explorers lazily derived from it (for profile queries over many ε).
+// The exact entry (delta 0) also carries the graph's live mutable form once
+// the first mutation has promoted it.
 type indexEntry struct {
 	key     idxKey
 	g       graph.Graph   // the graph generation the index answers for
@@ -38,10 +41,15 @@ type indexEntry struct {
 	waiters     atomic.Int64
 	cancelBuild context.CancelFunc
 
-	lastUsed atomic.Int64 // UnixNano of the most recent get (LRU ordering)
+	lastUsed atomic.Int64 // UnixNano of the most recent acquire (LRU ordering)
 
-	mu        sync.Mutex
+	mu        sync.Mutex             // guards explorers; serializes promotion
 	explorers map[int]*explorerEntry // μ → derived explorer (no σ pass)
+
+	// lg is the live graph promoted from this entry's index by the first
+	// mutation (exact entries only). Readers peek it without blocking: while
+	// it is nil no batch has been applied, so the index is still current.
+	lg atomic.Pointer[live.Graph]
 }
 
 func (e *indexEntry) touch() { e.lastUsed.Store(time.Now().UnixNano()) }
@@ -70,14 +78,15 @@ type staleIndex struct {
 // concurrent readers (see index.Index), so cached instances are handed to
 // every request without locking.
 //
-// Overload safety on top of the PR 3 design:
+// Overload safety:
 //
 //   - builds run on their own goroutine under a context cancelled when every
 //     waiter has abandoned them (and aborted outright on graph eviction);
 //   - builds pass through the admission semaphore when one is configured, so
 //     a storm of first queries for distinct graphs sheds instead of piling
 //     up σ passes;
-//   - a byte budget bounds resident indexes with LRU eviction;
+//   - a byte budget bounds resident indexes with LRU eviction (entries
+//     holding a live graph are exempt: they are the graph's only state);
 //   - the last good index per key survives in the stale store for
 //     degraded-mode serving (droppable under memory pressure).
 type indexCache struct {
@@ -101,27 +110,98 @@ func newIndexCache(met *Metrics, threads int, admit *admission, budget int64) *i
 	}
 }
 
-// get returns the cached index for the graph at the given accuracy dial
-// (delta 0 = exact), building it on first use. hit reports whether the index
-// was already resident; buildMS is the construction time paid by the request
-// that built it (0 on hits). get honors ctx while waiting: an abandoned wait
-// returns ctx.Err() (and may cancel the build — see indexEntry.waiters), and
-// build admission failures surface as *OverloadError so the handler can
-// degrade to stale serving.
-func (c *indexCache) get(ctx context.Context, ge *GraphEntry, delta float64) (idx *index.Index, hit bool, buildMS float64, err error) {
+// acquire returns the ready cache entry for the graph at the given accuracy
+// dial (delta 0 = exact), building its index on first use, and counts one
+// cache hit or miss. hit reports whether the index was already resident.
+// acquire honors ctx while waiting: an abandoned wait returns ctx.Err() (and
+// may cancel the build — see indexEntry.waiters), and build admission
+// failures surface as *OverloadError so the caller can degrade to stale
+// serving.
+func (c *indexCache) acquire(ctx context.Context, ge *GraphEntry, delta float64) (e *indexEntry, hit bool, err error) {
 	e, built := c.entry(ge, delta)
 	e.touch()
 	if err := c.wait(ctx, e); err != nil {
-		return nil, false, 0, err
+		return nil, false, err
 	}
 	if e.err != nil {
-		return nil, false, 0, e.err
+		return nil, false, e.err
 	}
-	if built {
-		return e.idx, false, e.buildMS, nil
+	if !built {
+		c.met.IndexHits.Add(1)
 	}
-	c.met.IndexHits.Add(1)
-	return e.idx, true, 0, nil
+	return e, !built, nil
+}
+
+// get is acquire reduced to the index: buildMS is the construction time paid
+// by the request that built it (0 on hits).
+func (c *indexCache) get(ctx context.Context, ge *GraphEntry, delta float64) (idx *index.Index, hit bool, buildMS float64, err error) {
+	e, hit, err := c.acquire(ctx, ge, delta)
+	if err != nil {
+		return nil, false, 0, err
+	}
+	if !hit {
+		buildMS = e.buildMS
+	}
+	return e.idx, hit, buildMS, nil
+}
+
+// liveGraph returns the graph's live mutable form without blocking, or nil
+// when the graph has not been mutated (or the live graph descends from an
+// evicted generation).
+func (c *indexCache) liveGraph(ge *GraphEntry) *live.Graph {
+	c.mu.Lock()
+	e := c.entries[idxKey{name: ge.Name}]
+	c.mu.Unlock()
+	if e == nil || e.g != ge.G {
+		return nil
+	}
+	return e.lg.Load()
+}
+
+// promote returns the graph's live mutable form, creating it on first use
+// (the first mutation). Epoch 0 wraps the exact index zero-copy
+// (live.FromIndex), so promotion reuses the entry's single-flight build,
+// admission control and σ accounting; concurrent promoters share one
+// promotion. Should the entry be evicted while promoting, the live graph is
+// not published and promotion retries against the current entry.
+func (c *indexCache) promote(ctx context.Context, ge *GraphEntry) (*live.Graph, error) {
+	for {
+		e, _, err := c.acquire(ctx, ge, 0)
+		if err != nil {
+			return nil, err
+		}
+		e.mu.Lock()
+		lg := e.lg.Load()
+		if lg == nil {
+			lg = live.FromIndex(e.idx)
+			c.mu.Lock()
+			if c.entries[e.key] == e {
+				e.lg.Store(lg)
+			} else {
+				lg = nil
+			}
+			c.mu.Unlock()
+		}
+		e.mu.Unlock()
+		if lg != nil {
+			return lg, nil
+		}
+	}
+}
+
+// liveStats samples the gauge values exported at /metrics scrape time: how
+// many graphs have live epoch chains and the largest read-your-writes lag
+// (how far any demanded epoch runs ahead of its published state).
+func (c *indexCache) liveStats() (graphs int, maxLag int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, e := range c.entries {
+		if lg := e.lg.Load(); lg != nil {
+			graphs++
+			maxLag = max(maxLag, lg.Lag())
+		}
+	}
+	return graphs, maxLag
 }
 
 // wait blocks until the entry's build completes or ctx expires. The waiter
@@ -251,28 +331,10 @@ func (c *indexCache) staleFor(name string, delta float64) (*staleIndex, bool) {
 	return s, ok
 }
 
-// explorer returns a μ-fixed sweep explorer derived from the graph's exact
-// index, building the index on first use and memoizing one explorer per μ.
-// Profiles are always exact — the approx surface rejects the profile form —
-// so the derivation anchors at delta 0. It performs no σ work
-// (sweep.FromIndex), so hit/buildMS report the index cache outcome — the
-// quantity that matters for similarity cost.
-func (c *indexCache) explorer(ctx context.Context, ge *GraphEntry, mu int) (ex *sweep.Explorer, hit bool, buildMS float64, err error) {
-	e, built := c.entry(ge, 0)
-	e.touch()
-	if err := c.wait(ctx, e); err != nil {
-		return nil, false, 0, err
-	}
-	if e.err != nil {
-		return nil, false, 0, e.err
-	}
-	hit = !built
-	if built {
-		buildMS = e.buildMS
-	} else {
-		c.met.IndexHits.Add(1)
-	}
-
+// explorer returns the μ-fixed sweep explorer derived from the entry's
+// index, memoizing one per μ. The derivation performs no σ work
+// (sweep.FromIndex).
+func (e *indexEntry) explorer(ctx context.Context, mu int) (*sweep.Explorer, error) {
 	e.mu.Lock()
 	ee, ok := e.explorers[mu]
 	if !ok {
@@ -291,23 +353,21 @@ func (c *indexCache) explorer(ctx context.Context, ge *GraphEntry, mu int) (ex *
 		select {
 		case <-ee.ready:
 		case <-ctx.Done():
-			return nil, false, 0, ctx.Err()
+			return nil, ctx.Err()
 		}
 	}
-	if ee.err != nil {
-		return nil, false, 0, ee.err
-	}
-	return ee.ex, hit, buildMS, nil
+	return ee.ex, ee.err
 }
 
 // evictGraph drops the named graph's cached indexes (at every accuracy
-// dial) and derived explorers (after a registry eviction), aborting any
-// build still in flight — its waiters see a cancellation, retryable once the
-// graph is reloaded. The stale snapshots are retained: an evict-and-reload
-// cycle is the common way to refresh a graph, and the snapshot is what lets
-// queries degrade to stale-marked answers while the replacement index builds
-// (or fails to). Memory-budget enforcement reclaims them when space is
-// needed.
+// dial), derived explorers and live graph (after a registry eviction),
+// aborting any build still in flight — its waiters see a cancellation,
+// retryable once the graph is reloaded. In-flight readers holding an epoch
+// keep it (epochs are immutable). The stale snapshots are retained: an
+// evict-and-reload cycle is the common way to refresh a graph, and the
+// snapshot is what lets queries degrade to stale-marked answers while the
+// replacement index builds (or fails to). Memory-budget enforcement reclaims
+// them when space is needed.
 func (c *indexCache) evictGraph(name string) {
 	c.mu.Lock()
 	var evicted []*indexEntry
@@ -329,11 +389,11 @@ func (c *indexCache) evictGraph(name string) {
 
 // enforceBudgetLocked evicts least-recently-used indexes until resident
 // bytes fit the budget, never evicting keep (the entry that triggered
-// enforcement) or entries with live waiters. Orphaned stale snapshots (whose
-// fresh entry is gone or replaced) go first — they only serve degraded mode;
-// fresh entries follow in LRU order, each dropping its stale twin when that
-// twin is the same index (otherwise nothing would be freed). c.mu must be
-// held.
+// enforcement), entries with waiters, or entries holding a live graph.
+// Orphaned stale snapshots (whose fresh entry is gone or replaced) go first —
+// they only serve degraded mode; fresh entries follow in LRU order, each
+// dropping its stale twin when that twin is the same index (otherwise nothing
+// would be freed). c.mu must be held.
 func (c *indexCache) enforceBudgetLocked(keep *indexEntry) {
 	if c.budget <= 0 {
 		return
@@ -358,7 +418,7 @@ func (c *indexCache) enforceBudgetLocked(keep *indexEntry) {
 		// Then the least-recently-used idle fresh entry (and its twin).
 		var victim *indexEntry
 		for _, e := range c.entries {
-			if e == keep || e.idx == nil || e.waiters.Load() > 0 {
+			if e == keep || e.idx == nil || e.waiters.Load() > 0 || e.lg.Load() != nil {
 				continue
 			}
 			if victim == nil || e.lastUsed.Load() < victim.lastUsed.Load() {

@@ -202,3 +202,41 @@ func TestIndexCacheMemoryBudget(t *testing.T) {
 		t.Fatalf("tiny budget: %d entries resident, want only the latest build", n)
 	}
 }
+
+// TestIndexCachePromoteSurvivesBudget checks the merged cache's live-graph
+// contract: promotion is single-flight per entry, LRU budget eviction never
+// drops an entry holding a live graph (it is that graph's only state), and
+// evictGraph does.
+func TestIndexCachePromoteSurvivesBudget(t *testing.T) {
+	graphs := []*graph.CSR{lfr(t, 1000, 9), lfr(t, 1000, 10), lfr(t, 1000, 11)}
+	perIndex := index.Build(graphs[0], 1).Bytes()
+	c := newIndexCache(&Metrics{}, 1, nil, perIndex+perIndex/2)
+
+	ge := &GraphEntry{Name: "a", G: graphs[0]}
+	if c.liveGraph(ge) != nil {
+		t.Fatal("unmutated graph has a live form")
+	}
+	lg, err := c.promote(context.Background(), ge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := c.promote(context.Background(), ge); err != nil || again != lg {
+		t.Fatalf("second promotion: %v (same graph: %v)", err, again == lg)
+	}
+	time.Sleep(2 * time.Millisecond) // the live entry is now the oldest
+	for i, name := range []string{"b", "c"} {
+		if _, _, _, err := c.get(context.Background(), &GraphEntry{Name: name, G: graphs[i+1]}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.liveGraph(ge) != lg {
+		t.Fatal("budget eviction dropped a live graph")
+	}
+	if n, _ := c.liveStats(); n != 1 {
+		t.Fatalf("liveStats counts %d live graphs, want 1", n)
+	}
+	c.evictGraph("a")
+	if c.liveGraph(ge) != nil {
+		t.Fatal("evictGraph kept the live graph")
+	}
+}

@@ -1,145 +1,18 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
-	"sync"
-	"time"
 
-	"anyscan/internal/graph"
 	"anyscan/internal/live"
 )
 
 // This file wires the live mutable-graph subsystem (internal/live) into the
-// HTTP server: a per-graph cache of live.Graph instances created on first
-// mutation, the POST /v1/graphs/{name}/edges handler, and the epoch-aware
-// query paths used by /v1/query's ?min_epoch= read-your-writes parameter.
-
-// liveEntry is one graph's live.Graph, materialized single-flight by the
-// first mutation against that graph.
-type liveEntry struct {
-	name  string
-	g     graph.Graph   // registry generation epoch 0 grew from
-	ready chan struct{} // closed when lg/err are set
-	lg    *live.Graph
-	err   error
-}
-
-// liveCache maps graph names to their live mutable graphs. A live graph is
-// created lazily by the first mutation: epoch 0 wraps the graph's cached
-// query index zero-copy (live.FromIndex), so promotion reuses the index
-// cache's single-flight build, admission control, and σ accounting instead
-// of duplicating them. Queries look the cache up non-blockingly — a graph
-// nobody has mutated keeps being served straight from the immutable index.
-type liveCache struct {
-	mu      sync.Mutex
-	entries map[string]*liveEntry
-	idx     *indexCache
-}
-
-func newLiveCache(idx *indexCache) *liveCache {
-	return &liveCache{entries: make(map[string]*liveEntry), idx: idx}
-}
-
-// get returns the live graph for the registry entry, materializing it on
-// first use. The creator pays the index build (through the index cache, so
-// concurrent first queries share it and admission control applies); failed
-// materializations are not cached — the next mutation retries.
-func (c *liveCache) get(ctx context.Context, ge *GraphEntry) (*live.Graph, error) {
-	c.mu.Lock()
-	e, ok := c.entries[ge.Name]
-	if ok && e.g != ge.G {
-		// The name was evicted and reloaded with different content; the live
-		// graph descends from a graph that no longer exists.
-		ok = false
-	}
-	if ok {
-		c.mu.Unlock()
-		select {
-		case <-e.ready:
-			return e.lg, e.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	e = &liveEntry{name: ge.Name, g: ge.G, ready: make(chan struct{})}
-	c.entries[ge.Name] = e
-	c.mu.Unlock()
-
-	// A live graph always grows from the exact index (delta 0): epoch 0 must
-	// carry true σ values for incremental maintenance to patch.
-	idx, _, _, err := c.idx.get(ctx, ge, 0)
-	if err != nil {
-		e.err = err
-		c.mu.Lock()
-		if c.entries[ge.Name] == e {
-			delete(c.entries, ge.Name)
-		}
-		c.mu.Unlock()
-	} else {
-		e.lg = live.FromIndex(idx)
-	}
-	close(e.ready)
-	return e.lg, e.err
-}
-
-// lookup returns the live graph for the name without blocking, reporting
-// false when none exists (never mutated, still materializing, or descended
-// from an evicted generation). While a live graph is materializing no batch
-// has been applied yet — epoch 0 equals the index — so the index path stays
-// correct until lookup starts returning it.
-func (c *liveCache) lookup(name string, g graph.Graph) (*live.Graph, bool) {
-	c.mu.Lock()
-	e, ok := c.entries[name]
-	c.mu.Unlock()
-	if !ok || e.g != g {
-		return nil, false
-	}
-	select {
-	case <-e.ready:
-	default:
-		return nil, false
-	}
-	if e.err != nil || e.lg == nil {
-		return nil, false
-	}
-	return e.lg, true
-}
-
-// evictGraph drops the named graph's live state (after a registry eviction).
-// In-flight queries holding an epoch keep it — epochs are immutable.
-func (c *liveCache) evictGraph(name string) {
-	c.mu.Lock()
-	delete(c.entries, name)
-	c.mu.Unlock()
-}
-
-// stats samples the gauge values exported at /metrics scrape time: how many
-// graphs have live epoch chains and the largest read-your-writes lag (how
-// far any demanded epoch runs ahead of its published state).
-func (c *liveCache) stats() (graphs int, maxLag int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, e := range c.entries {
-		select {
-		case <-e.ready:
-		default:
-			continue
-		}
-		if e.err != nil || e.lg == nil {
-			continue
-		}
-		graphs++
-		if lag := e.lg.Lag(); lag > maxLag {
-			maxLag = lag
-		}
-	}
-	return graphs, maxLag
-}
+// HTTP server: the POST /v1/graphs/{name}/edges handler, which promotes a
+// graph to its live form on first mutation (see indexCache.promote). Reads
+// of the live form go through the common read path (read.go).
 
 // parseOp maps the wire op string to a live.Op.
 func parseOp(op string) (live.Op, error) {
@@ -196,21 +69,19 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		muts[i] = live.Mutation{Op: op, U: m.U, V: m.V, W: m.W}
 	}
 
-	lg, err := s.liveGraphs.get(r.Context(), ge)
+	lg, err := s.idx.promote(r.Context(), ge)
 	if err != nil {
 		s.countDeadline(err)
 		writeError(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	if s.admit != nil {
-		release, err := s.admit.acquireBuild(r.Context())
-		if err != nil {
-			s.countDeadline(err)
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		}
-		defer release()
+	release, err := s.admit.acquireBuild(r.Context())
+	if err != nil {
+		s.countDeadline(err)
+		writeError(w, http.StatusServiceUnavailable, err)
+		return
 	}
+	defer release()
 	ep, st, err := lg.Apply(muts)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -231,87 +102,4 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		PublishMS:       float64(st.Publish.Microseconds()) / 1000,
 		SigmaRecomputed: st.SigmaRecomputed,
 	})
-}
-
-// parseMinEpoch extracts the ?min_epoch= read-your-writes bound (0 when
-// absent).
-func parseMinEpoch(r *http.Request) (int64, error) {
-	raw := r.URL.Query().Get("min_epoch")
-	if raw == "" {
-		return 0, nil
-	}
-	v, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("bad min_epoch %q", raw)
-	}
-	return v, nil
-}
-
-// liveClustering answers one (μ, ε) clustering from a live graph's epoch
-// chain. The read-your-writes wait happens before any admission slot is
-// taken: WaitEpoch parks without holding resources, so an abandoned waiter
-// never pins server capacity while it sleeps.
-func (s *Server) liveClustering(ctx context.Context, ge *GraphEntry, lg *live.Graph, mu int, eps float64, minEpoch int64, withAssignments bool) (QueryResponse, int, error) {
-	ep, err := lg.WaitEpoch(ctx, minEpoch)
-	if err != nil {
-		return QueryResponse{}, http.StatusServiceUnavailable, err
-	}
-	if withAssignments && s.admit != nil {
-		release, err := s.admit.acquireQuery(ctx)
-		if err != nil {
-			return QueryResponse{}, http.StatusServiceUnavailable, err
-		}
-		defer release()
-	}
-	start := time.Now()
-	res, err := ep.Query(mu, eps)
-	if err != nil {
-		return QueryResponse{}, http.StatusBadRequest, err
-	}
-	queryUS := time.Since(start).Microseconds()
-	s.met.QueryUS.Add(queryUS)
-	s.met.QueriesServed.Add(1)
-	return QueryResponse{
-		Graph:             ge.Name,
-		Mu:                mu,
-		Eps:               eps,
-		CacheHit:          true,
-		Epoch:             ep.Seq(),
-		QueryMS:           float64(queryUS) / 1000,
-		ClusteringPayload: clusteringPayload(res, withAssignments),
-	}, 0, nil
-}
-
-// liveProfile answers the profile form against a live epoch. Live graphs
-// have no derived sweep explorer (it would go stale on every publish), so
-// the ε list must be explicit; each point is one epoch query.
-func (s *Server) liveProfile(ctx context.Context, ge *GraphEntry, lg *live.Graph, mu int, epsValues []float64, minEpoch int64) (QueryResponse, int, error) {
-	if len(epsValues) == 0 {
-		return QueryResponse{}, http.StatusBadRequest,
-			fmt.Errorf("graph %q is live (mutated); profile queries need an explicit eps list", ge.Name)
-	}
-	ep, err := lg.WaitEpoch(ctx, minEpoch)
-	if err != nil {
-		return QueryResponse{}, http.StatusServiceUnavailable, err
-	}
-	start := time.Now()
-	points := make([]SweepPoint, 0, len(epsValues))
-	for _, eps := range epsValues {
-		res, err := ep.Query(mu, eps)
-		if err != nil {
-			return QueryResponse{}, http.StatusBadRequest, err
-		}
-		points = append(points, SweepPoint{Eps: eps, Clusters: res.NumClusters, Counts: roleCounts(res.RoleCounts())})
-	}
-	queryUS := time.Since(start).Microseconds()
-	s.met.QueryUS.Add(queryUS)
-	s.met.QueriesServed.Add(1)
-	return QueryResponse{
-		Graph:    ge.Name,
-		Mu:       mu,
-		CacheHit: true,
-		Epoch:    ep.Seq(),
-		QueryMS:  float64(queryUS) / 1000,
-		Points:   points,
-	}, 0, nil
 }

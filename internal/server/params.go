@@ -91,3 +91,17 @@ func parseSeedParam(q url.Values) (int32, error) {
 	}
 	return int32(v), nil
 }
+
+// parseMinEpoch extracts the optional ?min_epoch= read-your-writes bound (0
+// when absent).
+func parseMinEpoch(q url.Values) (int64, error) {
+	raw := q.Get("min_epoch")
+	if raw == "" {
+		return 0, nil
+	}
+	v, err := strconv.ParseInt(raw, 10, 64)
+	if err != nil || v < 0 {
+		return 0, fmt.Errorf("bad min_epoch %q", raw)
+	}
+	return v, nil
+}

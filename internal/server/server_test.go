@@ -92,20 +92,24 @@ func slowSpec(graphName string) server.JobSpec {
 	return server.JobSpec{Graph: graphName, Mu: 4, Eps: 0.4, Alpha: 32, Threads: 1, Seed: 7, ResolveRoles: true}
 }
 
-// pauseMidRun retries Pause until it lands while the job is running. Fails
-// the test if the job reaches a terminal state first.
+// pauseMidRun waits until the job has touched a vertex — a pause that lands
+// before the first block runs would leave an empty snapshot — then retries
+// Pause until it lands while the job is running. Fails the test if the job
+// reaches a terminal state first.
 func pauseMidRun(t *testing.T, c *server.Client, id string) server.JobStatus {
 	t.Helper()
 	for {
-		if st, err := c.PauseJob(tctx, id); err == nil {
-			return st
-		}
 		st, err := c.JobStatus(tctx, id)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st.State.Terminal() {
 			t.Fatalf("job reached %s before a pause landed", st.State)
+		}
+		if st.Progress.Touched > 0 {
+			if st, err := c.PauseJob(tctx, id); err == nil {
+				return st
+			}
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -434,9 +438,9 @@ func waitState(t *testing.T, c *server.Client, id string, want server.JobState) 
 	}
 }
 
-// TestE2EInteractiveQueries exercises the deprecated unversioned /cluster
-// and /sweep aliases: the first query builds the graph's index (cache miss),
-// repeats hit the cache, answers match the batch clustering, and eviction
+// TestE2EInteractiveQueries exercises the single-ε and profile forms of
+// /v1/query: the first query builds the graph's index (cache miss), repeats
+// hit the cache, answers match the batch clustering, and eviction
 // invalidates the cache.
 func TestE2EInteractiveQueries(t *testing.T) {
 	g := sharedGraph(t)
@@ -446,14 +450,14 @@ func TestE2EInteractiveQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	first, err := c.Cluster(tctx, "g", 4, 0.4, true)
+	first, err := c.Query(tctx, "g", 4, 0.4, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.CacheHit {
 		t.Fatal("first query reported a cache hit")
 	}
-	second, err := c.Cluster(tctx, "g", 4, 0.55, false)
+	second, err := c.Query(tctx, "g", 4, 0.55, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +475,7 @@ func TestE2EInteractiveQueries(t *testing.T) {
 		t.Fatalf("interactive clustering differs from batch run: %v", err)
 	}
 
-	sweep, err := c.Sweep(tctx, "g", 4, []float64{0.3, 0.4, 0.55})
+	sweep, err := c.QueryProfile(tctx, "g", 4, []float64{0.3, 0.4, 0.55}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,12 +484,12 @@ func TestE2EInteractiveQueries(t *testing.T) {
 	}
 	for _, p := range sweep.Points {
 		if p.Eps == 0.4 && p.Clusters != first.Clusters {
-			t.Fatalf("sweep at ε=0.4 found %d clusters, /cluster found %d", p.Clusters, first.Clusters)
+			t.Fatalf("profile at ε=0.4 found %d clusters, the single-ε query found %d", p.Clusters, first.Clusters)
 		}
 	}
 
 	// Auto-picked thresholds.
-	auto, err := c.Sweep(tctx, "g", 4, nil)
+	auto, err := c.QueryProfile(tctx, "g", 4, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,13 +501,13 @@ func TestE2EInteractiveQueries(t *testing.T) {
 	if err := c.EvictGraph(tctx, "g"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Cluster(tctx, "g", 4, 0.4, false); err == nil {
+	if _, err := c.Query(tctx, "g", 4, 0.4, false); err == nil {
 		t.Fatal("query against an evicted graph should fail")
 	}
 	if _, err := c.LoadGraph(tctx, server.LoadGraphRequest{Name: "g", GraphSource: server.GraphSource{Path: path}}); err != nil {
 		t.Fatal(err)
 	}
-	reloaded, err := c.Cluster(tctx, "g", 4, 0.4, false)
+	reloaded, err := c.Query(tctx, "g", 4, 0.4, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,10 +594,10 @@ func TestE2EMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitJob(t, c, st.ID)
-	if _, err := c.Cluster(tctx, "g", 4, 0.4, false); err != nil {
+	if _, err := c.Query(tctx, "g", 4, 0.4, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Cluster(tctx, "g", 4, 0.5, false); err != nil {
+	if _, err := c.Query(tctx, "g", 4, 0.5, false); err != nil {
 		t.Fatal(err)
 	}
 
